@@ -16,7 +16,7 @@ use crate::config::DvaConfig;
 use crate::queues::{Fifo, Timed};
 use crate::result::DvaResult;
 use crate::uops::{ApOp, DataSlot, SpOp, StoreDataSource, StoreSeq, VecAccess, VpOp};
-use dva_engine::{Completion, Driver, Lane, Observers, Processor, Progress, Report, SimError};
+use dva_engine::{Completion, Driver, Observers, Processor, Progress, Report, SimError};
 use dva_isa::{Cycle, MemRange, ScalarReg, VectorLength};
 use dva_memory::{CacheAccess, Memory, MemoryModel};
 use dva_metrics::{Histogram, UnitState};
@@ -1522,15 +1522,10 @@ impl Processor for Engine {
 
 /// Drives `engine` (fresh or [`reset`](Engine::reset)) to completion
 /// through the shared [`Driver`] and assembles the decoupled machine's
-/// result. The engine keeps its buffers afterwards, ready for the next
-/// reset.
-pub(crate) fn drive(engine: &mut Engine, fast_forward: bool) -> DvaResult {
-    try_drive(engine, fast_forward).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`drive`], but a tripped deadlock watchdog comes back as a
-/// [`SimError`] instead of a panic. The engine is left mid-flight on
-/// error; [`reset`](Engine::reset) restores it for the next run.
+/// result. A tripped deadlock watchdog comes back as a [`SimError`]; the
+/// engine is left mid-flight on error and [`reset`](Engine::reset)
+/// restores it for the next run. Either way the engine keeps its
+/// buffers, ready for the next reset.
 pub(crate) fn try_drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaResult, SimError> {
     let mut observers = Observers::with_occupancy(Histogram::new(engine.cfg.queues.avdq));
     let completion = Driver::new()
@@ -1539,61 +1534,8 @@ pub(crate) fn try_drive(engine: &mut Engine, fast_forward: bool) -> Result<DvaRe
     Ok(assemble(completion, engine, observers))
 }
 
-/// Drives a batch of engines — the per-lane timing states of one
-/// lockstep pass — to completion through
-/// [`Driver::run_batch`](dva_engine::Driver::run_batch) and assembles
-/// each lane's result, in lane order.
-///
-/// Every engine must have been [`reset`](Engine::reset) (or freshly
-/// constructed) against the *same* compiled program: the bundle stream,
-/// issue order, hazard ranges and store sequence are the shared
-/// read-only structure of the batch, while each engine carries its own
-/// configuration, queues, unit busy-times and memory model.
-pub(crate) fn drive_batch(engines: &mut [Engine], fast_forward: bool) -> Vec<DvaResult> {
-    try_drive_batch(engines, fast_forward).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`drive_batch`], but a tripped deadlock watchdog on any lane comes
-/// back as a [`SimError`] instead of a panic. On error the whole batch
-/// is abandoned mid-flight; the caller re-runs lanes individually (after
-/// a [`reset`](Engine::reset)) to salvage the healthy ones.
-pub(crate) fn try_drive_batch(
-    engines: &mut [Engine],
-    fast_forward: bool,
-) -> Result<Vec<DvaResult>, SimError> {
-    debug_assert!(
-        engines
-            .windows(2)
-            .all(|pair| Arc::ptr_eq(&pair[0].compiled, &pair[1].compiled)),
-        "batched lanes must share one compiled program"
-    );
-    let mut observers: Vec<Observers> = engines
-        .iter()
-        .map(|engine| Observers::with_occupancy(Histogram::new(engine.cfg.queues.avdq)))
-        .collect();
-    let mut lanes: Vec<Lane<'_, Engine>> = engines
-        .iter_mut()
-        .zip(observers.iter_mut())
-        .map(|(processor, observers)| Lane {
-            processor,
-            observers,
-        })
-        .collect();
-    let completions = Driver::new()
-        .fast_forward(fast_forward)
-        .try_run_batch(&mut lanes)?;
-    drop(lanes);
-    Ok(completions
-        .into_iter()
-        .zip(engines.iter())
-        .zip(observers)
-        .map(|((completion, engine), observers)| assemble(completion, engine, observers))
-        .collect())
-}
-
 /// Builds the decoupled machine's result from a finished run's clock,
-/// observers and engine — the one place a [`DvaResult`] is put together,
-/// shared by the sequential and batched paths.
+/// observers and engine — the one place a [`DvaResult`] is put together.
 fn assemble(completion: Completion, engine: &Engine, observers: Observers) -> DvaResult {
     let (core, occupancy) = completion.into_core(engine, observers);
     let avdq_occupancy = occupancy.expect("the DVA observers carry the AVDQ histogram");
@@ -1617,7 +1559,7 @@ mod tests {
 
     fn run(cfg: DvaConfig, program: &Program, fast_forward: bool) -> DvaResult {
         let compiled = Arc::new(CompiledProgram::compile(program));
-        drive(&mut Engine::new(cfg, compiled), fast_forward)
+        try_drive(&mut Engine::new(cfg, compiled), fast_forward).unwrap()
     }
 
     /// A long stream of short vector loads rotating over the eight
@@ -1674,7 +1616,7 @@ mod tests {
         let compiled = Arc::new(CompiledProgram::compile(&program));
         let mut engine = Engine::new(DvaConfig::default(), compiled);
         engine.svdq.push(Timed::new((), 0));
-        let _ = drive(&mut engine, true);
+        let _ = try_drive(&mut engine, true);
     }
 
     #[test]
@@ -1715,37 +1657,6 @@ mod tests {
         }
     }
 
-    /// A lockstep batch over mixed configurations — different latencies,
-    /// queue sizes, bypass and memory models in one pass — must produce,
-    /// lane for lane, the bytes of sequential runs.
-    #[test]
-    fn batched_lanes_are_byte_identical_to_sequential_runs() {
-        use crate::{DvaRunner, DvaSim};
-        let program = load_storm(12, 32);
-        let compiled = Arc::new(CompiledProgram::compile(&program));
-        let mut banked = DvaConfig::dva(30);
-        banked.memory.model = dva_memory::MemoryModelKind::Banked {
-            banks: 8,
-            bank_busy: 8,
-        };
-        let configs = [
-            DvaConfig::dva(1),
-            DvaConfig::dva(100),
-            DvaConfig::byp(30, 4, 8),
-            banked,
-        ];
-        let sims: Vec<DvaSim> = configs.iter().map(|&cfg| DvaSim::new(cfg)).collect();
-        let expected: Vec<DvaResult> = sims.iter().map(|sim| sim.run_compiled(&compiled)).collect();
-        for lanes in 1..=sims.len() {
-            let mut runner = DvaRunner::new();
-            let batch = runner.run_batch(&sims[..lanes], &compiled);
-            assert_eq!(batch, expected[..lanes], "lane count {lanes}");
-            // And the pool resets cleanly for the next batch.
-            assert_eq!(runner.run_batch(&sims[..lanes], &compiled), batch);
-        }
-        assert!(DvaRunner::new().run_batch(&[], &compiled).is_empty());
-    }
-
     /// A reset engine must behave exactly like a fresh one, across
     /// different configurations and programs.
     #[test]
@@ -1769,15 +1680,15 @@ mod tests {
             Arc::new(CompiledProgram::compile(&Program::from_insts("m", insts)))
         };
         let mut engine = Engine::new(DvaConfig::dva(1), Arc::clone(&storm));
-        let _ = drive(&mut engine, true);
+        let _ = try_drive(&mut engine, true);
         for (cfg, compiled) in [
             (DvaConfig::dva(70), &storm),
             (DvaConfig::byp(30, 4, 8), &mixed),
             (DvaConfig::builder().latency(5).avdq(4).build(), &storm),
         ] {
             engine.reset(cfg, Arc::clone(compiled));
-            let reused = drive(&mut engine, true);
-            let fresh = drive(&mut Engine::new(cfg, Arc::clone(compiled)), true);
+            let reused = try_drive(&mut engine, true).unwrap();
+            let fresh = try_drive(&mut Engine::new(cfg, Arc::clone(compiled)), true).unwrap();
             assert_eq!(reused, fresh, "cfg={cfg:?}");
         }
     }

@@ -38,6 +38,14 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so an unbounded depth would let
+/// one line of `[`s overflow the stack and abort the process. The wire
+/// protocol and the cache files nest fewer than ten levels deep; deeper
+/// input is rejected with a [`JsonError`].
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 ///
 /// Objects are insertion-ordered key/value vectors rather than hash
@@ -239,11 +247,13 @@ impl Json {
     }
 
     /// Parses a JSON document. Trailing whitespace is allowed; trailing
-    /// non-whitespace is an error.
+    /// non-whitespace is an error, and so is nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -281,6 +291,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -325,8 +337,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(JsonError(format!(
                 "unexpected `{}` at byte {}",
@@ -443,14 +469,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str,
-                    // so slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Copy the run up to the next quote or escape in one
+                    // step. Both delimiters are ASCII, so the run ends on
+                    // a char boundary of the `&str` input, and decoding
+                    // stays linear in the line length.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| JsonError("invalid UTF-8".to_string()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -555,6 +584,7 @@ mod tests {
             ("int", Json::Int(-42)),
             ("float", Json::Float(0.1)),
             ("str", Json::from("hi \"there\"\n")),
+            ("utf8", Json::from("naïve → ✓")),
             ("arr", Json::Array(vec![Json::Int(1), Json::Int(2)])),
             ("obj", Json::obj([("nested", Json::Int(3))])),
         ]);
@@ -598,6 +628,26 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         let missing = Json::obj([("x", Json::Null)]).field("y").unwrap_err();
         assert!(missing.to_string().contains("`y`"));
+    }
+
+    /// A long string with escapes and multi-byte characters decodes
+    /// intact, in time linear in its length.
+    #[test]
+    fn long_strings_round_trip() {
+        let long = "ab\"é\\→\n".repeat(40_000);
+        let text = Json::from(long.as_str()).render();
+        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), long);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

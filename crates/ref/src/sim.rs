@@ -7,7 +7,7 @@
 
 use crate::compiled::{CompiledProgram, RefOp};
 use crate::result::RefResult;
-use dva_engine::{Driver, Lane, Observers, Processor, Progress, Report, SimError};
+use dva_engine::{Driver, Observers, Processor, Progress, Report, SimError};
 use dva_isa::{Cycle, Program};
 use dva_memory::{CacheAccess, Memory, MemoryModel, MemoryParams};
 use dva_metrics::UnitState;
@@ -152,8 +152,7 @@ impl RefSim {
     /// Runs a pre-decoded program to completion — byte-identical to
     /// [`RefSim::run`] on the source program, without re-decoding it.
     pub fn run_compiled(&self, compiled: &Arc<CompiledProgram>) -> RefResult {
-        let mut engine = Engine::new(self.params, self.chain, Arc::clone(compiled));
-        drive(&mut engine, self.fast_forward)
+        RefRunner::new().run(self, compiled)
     }
 }
 
@@ -181,9 +180,8 @@ impl RefSim {
 /// ```
 #[derive(Debug, Default)]
 pub struct RefRunner {
-    /// The engine pool: one per batch lane, all reused across runs.
-    /// Sequential runs use the first engine only.
-    engines: Vec<Engine>,
+    /// The reusable engine; the first run constructs it.
+    engine: Option<Engine>,
 }
 
 impl RefRunner {
@@ -195,116 +193,35 @@ impl RefRunner {
     /// Runs `compiled` under `sim`'s parameters, chaining policy and
     /// stepping strategy, reusing this runner's engine allocations.
     pub fn run(&mut self, sim: &RefSim, compiled: &Arc<CompiledProgram>) -> RefResult {
-        self.arm(std::slice::from_ref(sim), compiled);
-        drive(&mut self.engines[0], sim.fast_forward)
+        self.try_run(sim, compiled)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`run`](RefRunner::run), but a detected deadlock comes back as a
-    /// [`SimError`] instead of a panic. The pooled engine is left
-    /// mid-flight on error; the next run's reset restores it, so the
-    /// runner stays reusable.
+    /// [`SimError`] instead of a panic. The engine is left mid-flight on
+    /// error; the next run's reset restores it, so the runner stays
+    /// reusable.
     pub fn try_run(
         &mut self,
         sim: &RefSim,
         compiled: &Arc<CompiledProgram>,
     ) -> Result<RefResult, SimError> {
-        self.arm(std::slice::from_ref(sim), compiled);
-        try_drive(&mut self.engines[0], sim.fast_forward)
-    }
-
-    /// Runs one decoded program under each of `sims`' parameters in a
-    /// single lockstep pass, returning one result per sim, in order —
-    /// byte-identical to calling [`run`](RefRunner::run) for each sim in
-    /// sequence. The decoded issue stream is the batch's shared
-    /// read-only structure; each lane gets its own engine (scoreboard,
-    /// pipes, memory model) from this runner's pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sims disagree on the stepping strategy (a batch
-    /// runs under one fast-forward mode; group sims by it first).
-    pub fn run_batch(
-        &mut self,
-        sims: &[RefSim],
-        compiled: &Arc<CompiledProgram>,
-    ) -> Vec<RefResult> {
-        self.try_run_batch(sims, compiled)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_batch`](RefRunner::run_batch), but a detected deadlock on
-    /// any lane comes back as a [`SimError`] instead of a panic. On
-    /// error the whole batch is abandoned; the caller re-runs lanes
-    /// individually via [`try_run`](RefRunner::try_run) to salvage the
-    /// healthy ones. Still panics if the sims disagree on the stepping
-    /// strategy — that is a caller bug, not a simulation fault.
-    pub fn try_run_batch(
-        &mut self,
-        sims: &[RefSim],
-        compiled: &Arc<CompiledProgram>,
-    ) -> Result<Vec<RefResult>, SimError> {
-        let Some(first) = sims.first() else {
-            return Ok(Vec::new());
-        };
-        assert!(
-            sims.iter()
-                .all(|sim| sim.fast_forward == first.fast_forward),
-            "a batch runs under one stepping strategy; group sims by fast-forward first"
-        );
-        self.arm(sims, compiled);
-        let mut observers: Vec<Observers> = sims.iter().map(|_| Observers::new()).collect();
-        let mut lanes: Vec<Lane<'_, Engine>> = self.engines[..sims.len()]
-            .iter_mut()
-            .zip(observers.iter_mut())
-            .map(|(processor, observers)| Lane {
-                processor,
-                observers,
-            })
-            .collect();
-        let completions = Driver::new()
-            .fast_forward(first.fast_forward)
-            .try_run_batch(&mut lanes)?;
-        drop(lanes);
-        Ok(completions
-            .into_iter()
-            .zip(&self.engines)
-            .zip(observers)
-            .map(|((completion, engine), observers)| {
-                let (core, _) = completion.into_core(engine, observers);
-                RefResult { core }
-            })
-            .collect())
-    }
-
-    /// Readies one pooled engine per sim — reset when it exists, grown
-    /// when it does not — all against one shared decoded program.
-    fn arm(&mut self, sims: &[RefSim], compiled: &Arc<CompiledProgram>) {
-        for (i, sim) in sims.iter().enumerate() {
-            match self.engines.get_mut(i) {
-                Some(engine) => engine.reset(sim.params, sim.chain, Arc::clone(compiled)),
-                None => self
-                    .engines
-                    .push(Engine::new(sim.params, sim.chain, Arc::clone(compiled))),
+        let engine = match &mut self.engine {
+            Some(engine) => {
+                engine.reset(sim.params, sim.chain, Arc::clone(compiled));
+                engine
             }
-        }
+            None => self
+                .engine
+                .insert(Engine::new(sim.params, sim.chain, Arc::clone(compiled))),
+        };
+        let mut observers = Observers::new();
+        let completion = Driver::new()
+            .fast_forward(sim.fast_forward)
+            .try_run(engine, &mut observers)?;
+        let (core, _) = completion.into_core(engine, observers);
+        Ok(RefResult { core })
     }
-}
-
-/// Drives `engine` (fresh or reset) to completion through the shared
-/// [`Driver`] and assembles the reference machine's result.
-fn drive(engine: &mut Engine, fast_forward: bool) -> RefResult {
-    try_drive(engine, fast_forward).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`drive`], but a tripped deadlock watchdog comes back as a
-/// [`SimError`] instead of a panic.
-fn try_drive(engine: &mut Engine, fast_forward: bool) -> Result<RefResult, SimError> {
-    let mut observers = Observers::new();
-    let completion = Driver::new()
-        .fast_forward(fast_forward)
-        .try_run(engine, &mut observers)?;
-    let (core, _) = completion.into_core(engine, observers);
-    Ok(RefResult { core })
 }
 
 #[derive(Debug)]
@@ -650,42 +567,6 @@ mod tests {
     fn run(insts: Vec<Inst>, latency: u64) -> RefResult {
         let program = Program::from_insts("t", insts);
         RefSim::new(RefParams::with_latency(latency)).run(&program)
-    }
-
-    /// A lockstep batch over mixed latencies and memory models must
-    /// produce, lane for lane, the bytes of sequential runs.
-    #[test]
-    fn batched_lanes_are_byte_identical_to_sequential_runs() {
-        let program = Program::from_insts(
-            "t",
-            vec![
-                vload(VectorReg::V0, 0x1000, 64),
-                vload(VectorReg::V2, 0x9000, 64),
-                vadd(VectorReg::V4, VectorReg::V0, VectorReg::V2, 64),
-            ],
-        );
-        let compiled = Arc::new(CompiledProgram::compile(&program));
-        let mut banked = RefParams::with_latency(30);
-        banked.memory.model = dva_memory::MemoryModelKind::Banked {
-            banks: 8,
-            bank_busy: 8,
-        };
-        let sims: Vec<RefSim> = [
-            RefParams::with_latency(1),
-            RefParams::with_latency(100),
-            banked,
-        ]
-        .into_iter()
-        .map(RefSim::new)
-        .collect();
-        let expected: Vec<RefResult> = sims.iter().map(|sim| sim.run_compiled(&compiled)).collect();
-        for lanes in 1..=sims.len() {
-            let mut runner = RefRunner::new();
-            let batch = runner.run_batch(&sims[..lanes], &compiled);
-            assert_eq!(batch, expected[..lanes], "lane count {lanes}");
-            assert_eq!(runner.run_batch(&sims[..lanes], &compiled), batch);
-        }
-        assert!(RefRunner::new().run_batch(&[], &compiled).is_empty());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! Refinement is a pure function of measured cycle counts: rounds are
 //! barriers, requests are deduplicated and sorted, and results are keyed
 //! by dense grid index — so the sampled set (and therefore the result)
-//! is deterministic regardless of thread count, lane width or the order
-//! points complete in.
+//! is deterministic regardless of thread count or the order points
+//! complete in.
 
 use crate::stream::PointSpec;
 use crate::sweep::{Sweep, SweepPoint, SweepResults};
@@ -49,8 +49,8 @@ pub const DEFAULT_TOLERANCE: f64 = 0.02;
 const MAX_ROUNDS: usize = 64;
 
 /// An adaptive sweep session: a [`Sweep`] template (machines, programs,
-/// memory models, scale, threads, lanes) plus a dense latency axis to
-/// refine over.
+/// memory models, scale, threads) plus a dense latency axis to refine
+/// over.
 ///
 /// ```
 /// use dva_sim_api::{AdaptiveSweep, Machine, Sweep};
@@ -189,8 +189,8 @@ impl AdaptiveSweep {
     }
 
     /// Runs the session locally: each round's requests go through
-    /// [`Sweep::run_subset_streaming`] (work stealing, lane batching and
-    /// translate-once programs come for free), and the measured points
+    /// [`Sweep::run_subset_streaming`] (work stealing and translate-once
+    /// programs come for free), and the measured points
     /// feed the next round, until every curve has converged or been
     /// pruned.
     pub fn run(&self) -> AdaptiveOutcome {

@@ -15,12 +15,9 @@ use crate::cancel::CancelToken;
 use crate::fault::{PointError, PointErrorKind};
 use crate::prepare::{PreparedProgram, Runners};
 use crate::sweep::SweepPoint;
-use crate::{Machine, SimResult};
-use dva_core::DvaSim;
-use dva_engine::SimError;
+use crate::Machine;
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
-use dva_ref::RefSim;
 use dva_testutil::failpoint;
 use dva_workloads::Benchmark;
 use std::cmp::{Ordering, Reverse};
@@ -95,15 +92,14 @@ impl Entry {
         }
     }
 
-    /// Measures the point on its own, with full fault isolation: a
-    /// tripped deadlock watchdog or a panic anywhere in the machine
-    /// model (or an armed `sim.point` failpoint) comes back as a typed
-    /// [`PointError`] instead of unwinding the worker. After a caught
-    /// panic the engine pool is rebuilt — a panic may have left a pooled
-    /// engine in a state its reset contract no longer covers. Batched
-    /// execution goes through [`execute_job`] instead; both funnel into
-    /// [`Entry::point_from`], so every execution path (sequential,
-    /// streamed, stolen, batched) produces identical bytes.
+    /// Measures the point, with full fault isolation: a tripped
+    /// deadlock watchdog or a panic anywhere in the machine model (or an
+    /// armed `sim.point` failpoint) comes back as a typed [`PointError`]
+    /// instead of unwinding the worker. After a caught panic the runners
+    /// are rebuilt — a panic may have left an engine in a state its
+    /// reset contract no longer covers. Every execution path
+    /// (sequential, streamed, stolen) measures through here, so they
+    /// produce identical bytes.
     pub(crate) fn try_measure(
         &self,
         fast_forward: bool,
@@ -116,194 +112,20 @@ impl Entry {
                 .try_simulate_prepared(&self.prepared, fast_forward, runners)
         }));
         match outcome {
-            Ok(Ok(result)) => Ok(self.point_from(result)),
+            Ok(Ok(result)) => Ok(SweepPoint {
+                machine: self.spec.machine,
+                label: self.spec.machine.label(),
+                benchmark: self.spec.benchmark,
+                program: self.prepared.program().name().to_string(),
+                latency: self.spec.latency,
+                memory: self.spec.memory,
+                result,
+            }),
             Ok(Err(deadlock)) => Err(self.fail(PointErrorKind::Deadlock, deadlock.to_string())),
             Err(payload) => {
                 *runners = Runners::new();
                 Err(self.fail(PointErrorKind::Panic, panic_message(payload.as_ref())))
             }
-        }
-    }
-
-    /// Wraps a measured [`SimResult`] in this point's grid coordinates —
-    /// the one place a [`SweepPoint`] is built.
-    pub(crate) fn point_from(&self, result: SimResult) -> SweepPoint {
-        SweepPoint {
-            machine: self.spec.machine,
-            label: self.spec.machine.label(),
-            benchmark: self.spec.benchmark,
-            program: self.prepared.program().name().to_string(),
-            latency: self.spec.latency,
-            memory: self.spec.memory,
-            result,
-        }
-    }
-}
-
-/// One schedulable unit of sweep work: the entry positions it measures.
-/// A multi-position job is a lane batch — entries of one program and one
-/// machine family that a single lockstep engine pass measures together.
-pub(crate) struct Job {
-    pub(crate) positions: Vec<usize>,
-}
-
-/// The machine families whose engines support lane batching. IDEAL is a
-/// closed-form bound (nothing to batch) and custom machines own their
-/// processors, so both stay singleton jobs.
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-enum Family {
-    Dva,
-    Ref,
-}
-
-fn family(machine: &Machine) -> Option<Family> {
-    match machine {
-        Machine::Dva(_) => Some(Family::Dva),
-        Machine::Ref(_) => Some(Family::Ref),
-        Machine::Ideal | Machine::Custom(_) => None,
-    }
-}
-
-/// Groups entries into [`Job`]s: points that share a prepared program
-/// and a machine family — across the latency, memory-model and
-/// machine-configuration axes — batch into lockstep lanes, capped at
-/// `lanes` per job; everything else stays a singleton. Jobs are ordered
-/// by their first grid position, and positions within a job keep grid
-/// order, so execution remains deterministic.
-pub(crate) fn plan_jobs(entries: &[Entry], lanes: usize) -> Vec<Job> {
-    let lanes = lanes.max(1);
-    let mut jobs: Vec<Job> = Vec::new();
-    // The open (not yet full) job per batchable group, keyed by the
-    // prepared program's identity and the machine family.
-    let mut open: Vec<((usize, Family), usize)> = Vec::new();
-    for (pos, entry) in entries.iter().enumerate() {
-        let Some(family) = family(&entry.spec.machine).filter(|_| lanes > 1) else {
-            jobs.push(Job {
-                positions: vec![pos],
-            });
-            continue;
-        };
-        let key = (Arc::as_ptr(&entry.prepared) as usize, family);
-        match open.iter().position(|(k, _)| *k == key) {
-            Some(slot) if jobs[open[slot].1].positions.len() < lanes => {
-                let job = open[slot].1;
-                jobs[job].positions.push(pos);
-            }
-            found => {
-                let job = jobs.len();
-                jobs.push(Job {
-                    positions: vec![pos],
-                });
-                match found {
-                    // The previous chunk filled up: start the next one.
-                    Some(slot) => open[slot].1 = job,
-                    None => open.push((key, job)),
-                }
-            }
-        }
-    }
-    jobs
-}
-
-/// Measures every position of one job, reporting each completed point —
-/// or its isolated [`PointError`] — through `emit`. Singleton jobs go
-/// through [`Entry::try_measure`]; multi-position jobs run as one
-/// lockstep lane batch on the family's engine pool — byte-identical
-/// either way (the batched driver executes each lane's exact sequential
-/// schedule).
-///
-/// Fault isolation for a batch is two-stage: a deadlock or panic
-/// anywhere in a lockstep pass abandons the whole batch, then every
-/// position re-runs as an isolated singleton. The poisoned point fails
-/// again deterministically and becomes its own [`PointError`]; the
-/// healthy lanes succeed with bytes identical to the batched pass
-/// (the byte-identity invariant between batched and sequential runs is
-/// exactly what makes this salvage correct).
-pub(crate) fn execute_job(
-    entries: &[Entry],
-    positions: &[usize],
-    fast_forward: bool,
-    runners: &mut Runners,
-    mut emit: impl FnMut(usize, Result<SweepPoint, PointError>),
-) {
-    if positions.len() == 1 {
-        let pos = positions[0];
-        emit(pos, entries[pos].try_measure(fast_forward, runners));
-        return;
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute_batch(entries, positions, fast_forward, runners)
-    }));
-    match outcome {
-        Ok(Ok(points)) => {
-            for (&pos, point) in positions.iter().zip(points) {
-                emit(pos, Ok(point));
-            }
-        }
-        Ok(Err(_deadlock)) => {
-            // One lane deadlocked; the runner pool resets cleanly on the
-            // next arm. Salvage lane by lane.
-            for &pos in positions {
-                emit(pos, entries[pos].try_measure(fast_forward, runners));
-            }
-        }
-        Err(_panic) => {
-            // A panic may have left a pooled engine in a state its reset
-            // contract no longer covers: rebuild the pool, then salvage.
-            *runners = Runners::new();
-            for &pos in positions {
-                emit(pos, entries[pos].try_measure(fast_forward, runners));
-            }
-        }
-    }
-}
-
-/// One lockstep lane-batch pass over `positions`. The `sim.point`
-/// failpoint fires here per position (before the pass starts) so an
-/// armed chaos fault poisons the same point at any lane count.
-fn execute_batch(
-    entries: &[Entry],
-    positions: &[usize],
-    fast_forward: bool,
-    runners: &mut Runners,
-) -> Result<Vec<SweepPoint>, SimError> {
-    for &pos in positions {
-        failpoint::hit("sim.point", || entries[pos].fail_detail())
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-    let first = &entries[positions[0]];
-    match family(&first.spec.machine).expect("multi-position jobs are batchable") {
-        Family::Dva => {
-            let sims: Vec<DvaSim> = positions
-                .iter()
-                .map(|&pos| match entries[pos].spec.machine {
-                    Machine::Dva(config) => DvaSim::new(config).with_fast_forward(fast_forward),
-                    _ => unreachable!("a job never mixes machine families"),
-                })
-                .collect();
-            let results = runners.dva.try_run_batch(&sims, first.prepared.dva())?;
-            Ok(positions
-                .iter()
-                .zip(results)
-                .map(|(&pos, result)| entries[pos].point_from(result.into()))
-                .collect())
-        }
-        Family::Ref => {
-            let sims: Vec<RefSim> = positions
-                .iter()
-                .map(|&pos| match entries[pos].spec.machine {
-                    Machine::Ref(params) => RefSim::new(params).with_fast_forward(fast_forward),
-                    _ => unreachable!("a job never mixes machine families"),
-                })
-                .collect();
-            let results = runners
-                .reference
-                .try_run_batch(&sims, first.prepared.reference())?;
-            Ok(positions
-                .iter()
-                .zip(results)
-                .map(|(&pos, result)| entries[pos].point_from(result.into()))
-                .collect())
         }
     }
 }
@@ -333,22 +155,18 @@ pub(crate) fn prepare(specs: Vec<PointSpec>) -> Vec<Entry> {
 /// The scheduler state the workers share.
 struct Shared {
     entries: Vec<Entry>,
-    /// The planned jobs — singletons and lane batches. Workers claim and
-    /// execute whole jobs, so a lane batch is never split across
-    /// workers.
-    jobs: Vec<Job>,
-    /// One deque per worker, holding indices into `jobs`.
+    /// One deque per worker, holding positions in `entries`.
     queues: Vec<Mutex<VecDeque<usize>>>,
     fast_forward: bool,
-    /// Checked between jobs: a cancelled token stops workers from
+    /// Checked between points: a cancelled token stops workers from
     /// claiming further work (points in flight still finish).
     cancel: CancelToken,
 }
 
-/// Claims the next job for worker `own`: its own deque's front, else the
+/// Claims the next point for worker `own`: its own deque's front, else the
 /// back of the busiest other deque (stealing the far end takes the work
 /// least likely to share a warm program with the victim's current point).
-fn next_job(shared: &Shared, own: usize) -> Option<usize> {
+fn next_point(shared: &Shared, own: usize) -> Option<usize> {
     if let Some(pos) = shared.queues[own].lock().unwrap().pop_front() {
         return Some(pos);
     }
@@ -419,27 +237,24 @@ fn spawn(
     entries: Vec<Entry>,
     workers: usize,
     fast_forward: bool,
-    lanes: usize,
     cancel: CancelToken,
 ) -> RawStream {
     let total = entries.len();
-    let jobs = plan_jobs(&entries, lanes);
-    let workers = workers.clamp(1, jobs.len().max(1));
+    let workers = workers.clamp(1, total.max(1));
 
-    // Seed each deque with a contiguous chunk of the job sequence: jobs
-    // of one program are adjacent, so each worker starts on as few
-    // distinct programs as possible.
+    // Seed each deque with a contiguous chunk of the grid: points of one
+    // program are adjacent, so each worker starts on as few distinct
+    // programs as possible.
     let mut queues: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let chunk = jobs.len().div_ceil(workers).max(1);
-    for job in 0..jobs.len() {
-        let owner = (job / chunk).min(workers - 1);
-        queues[owner].get_mut().unwrap().push_back(job);
+    let chunk = total.div_ceil(workers).max(1);
+    for pos in 0..total {
+        let owner = (pos / chunk).min(workers - 1);
+        queues[owner].get_mut().unwrap().push_back(pos);
     }
 
     let shared = Arc::new(Shared {
         entries,
-        jobs,
         queues,
         fast_forward,
         cancel: cancel.clone(),
@@ -451,29 +266,20 @@ fn spawn(
             let tx = tx.clone();
             std::thread::spawn(move || {
                 let mut runners = Runners::new();
-                'claim: while let Some(job) = next_job(&shared, w) {
+                while let Some(pos) = next_point(&shared, w) {
                     if shared.cancel.is_cancelled() {
-                        break 'claim;
+                        break;
                     }
-                    let mut dropped = false;
-                    execute_job(
-                        &shared.entries,
-                        &shared.jobs[job].positions,
-                        shared.fast_forward,
-                        &mut runners,
-                        |pos, outcome| {
-                            let sequenced = Sequenced {
-                                pos,
-                                index: shared.entries[pos].spec.index,
-                                outcome,
-                            };
-                            // A send fails only when the consumer dropped
-                            // the stream: stop claiming work and exit.
-                            dropped |= tx.send(sequenced).is_err();
-                        },
-                    );
-                    if dropped {
-                        break 'claim;
+                    let entry = &shared.entries[pos];
+                    let sequenced = Sequenced {
+                        pos,
+                        index: entry.spec.index,
+                        outcome: entry.try_measure(shared.fast_forward, &mut runners),
+                    };
+                    // A send fails only when the consumer dropped the
+                    // stream: stop claiming work and exit.
+                    if tx.send(sequenced).is_err() {
+                        break;
                     }
                 }
             })
@@ -520,7 +326,7 @@ impl RawStream {
                 Err(_) => {
                     self.finish();
                     if self.cancel.is_cancelled() {
-                        // Workers stopped claiming jobs on request; the
+                        // Workers stopped claiming points on request; the
                         // stream truncates at the last in-order point.
                         self.cancelled = true;
                         self.total = self.next_pos;
@@ -644,11 +450,10 @@ pub(crate) fn stream_all(
     entries: Vec<Entry>,
     workers: usize,
     fast_forward: bool,
-    lanes: usize,
     cancel: CancelToken,
 ) -> SweepStream {
     SweepStream {
-        inner: spawn(entries, workers, fast_forward, lanes, cancel),
+        inner: spawn(entries, workers, fast_forward, cancel),
     }
 }
 
@@ -656,14 +461,13 @@ pub(crate) fn stream_indexed(
     entries: Vec<Entry>,
     workers: usize,
     fast_forward: bool,
-    lanes: usize,
     cancel: CancelToken,
 ) -> IndexedSweepStream {
     // Reindex to submission order: the reorder buffer sequences by
     // position in `entries`, while each yielded pair keeps the spec's own
     // grid index for the caller's bookkeeping.
     IndexedSweepStream {
-        inner: spawn(entries, workers, fast_forward, lanes, cancel),
+        inner: spawn(entries, workers, fast_forward, cancel),
     }
 }
 

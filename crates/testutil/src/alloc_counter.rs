@@ -5,7 +5,9 @@
 //! registers the [`CountingAllocator`] as its global allocator and
 //! compares [`allocation_count`] deltas around engine runs — if a run
 //! twice as long allocates exactly as much as a short one, the per-tick
-//! allocation count is provably zero.
+//! allocation count is provably zero. Counts are kept per thread, so
+//! tests of one binary running in parallel never see each other's
+//! allocations.
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -17,15 +19,25 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized with no destructor: touching it from inside
+    // the allocator never allocates and never registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Heap allocations (including reallocations) performed since process
-/// start, when [`CountingAllocator`] is installed as the global
-/// allocator. Always zero otherwise.
+fn count_one() {
+    // `try_with` rather than `with`: an allocation during thread
+    // teardown must not panic inside the allocator.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Heap allocations (including reallocations) performed by the calling
+/// thread since it started, when [`CountingAllocator`] is installed as
+/// the global allocator. Always zero otherwise.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A [`System`]-backed allocator that counts every allocation.
@@ -35,22 +47,22 @@ pub fn allocation_count() -> u64 {
 /// steady-state churn of alloc/free pairs.
 pub struct CountingAllocator;
 
-// The impl forwards verbatim to `System`; the only addition is a relaxed
-// counter increment on each allocating entry point.
+// The impl forwards verbatim to `System`; the only addition is a
+// thread-local counter increment on each allocating entry point.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 

@@ -1,7 +1,9 @@
 //! The pluggable memory-backend layer: `Flat` through the `MemoryModel`
 //! trait must be byte-identical to the pre-refactor memory system, and
 //! the `Banked`/`MultiPort` backends must obey the same fast-forward
-//! equivalence contract as everything else the shared driver runs.
+//! equivalence contract as everything else the shared driver runs. Their
+//! degenerate configurations reduce to `Flat`, and cycles never fall as
+//! latency rises.
 
 use dva_core::{DvaConfig, DvaSim};
 use dva_ref::{RefParams, RefSim};
@@ -177,6 +179,64 @@ fn cache_stats_split_loads_and_stores() {
         r.traffic.scalar_store_words,
         stats.store_hits + stats.store_misses
     );
+}
+
+/// REF and DVA over the quick grid at eleven latencies, under one
+/// memory model — the grid the reduction oracles below compare.
+fn oracle_grid(memory: MemoryModelKind) -> SweepResults {
+    Sweep::new()
+        .machines([Machine::reference(1), Machine::dva(1)])
+        .benchmarks(Benchmark::ALL)
+        .latencies((0..=10).map(|i| (i * 10).max(1)))
+        .memory_model(memory)
+        .scale(Scale::Quick)
+        .run()
+}
+
+/// Backend reductions: a one-port `MultiPort` and a `Banked` memory
+/// whose banks are busy for a single cycle both degenerate to `Flat`,
+/// result for result.
+#[test]
+fn degenerate_backends_reduce_to_flat() {
+    let flat = oracle_grid(MemoryModelKind::Flat);
+    for model in [
+        MemoryModelKind::MultiPort { ports: 1 },
+        MemoryModelKind::Banked {
+            banks: 8,
+            bank_busy: 1,
+        },
+    ] {
+        let other = oracle_grid(model);
+        assert_eq!(flat.points.len(), other.points.len());
+        for (f, o) in flat.points.iter().zip(&other.points) {
+            assert_eq!(
+                f.result, o.result,
+                "{} {} L={}: {model} differs from flat",
+                f.label, f.program, f.latency
+            );
+        }
+    }
+}
+
+/// Latency monotonicity: a slower memory never makes a run faster.
+#[test]
+fn cycles_are_non_decreasing_in_latency() {
+    let flat = oracle_grid(MemoryModelKind::Flat);
+    for label in ["REF", "DVA"] {
+        for benchmark in Benchmark::ALL {
+            let curve = flat.curve(label, benchmark, MemoryModelKind::Flat);
+            assert_eq!(curve.len(), 11);
+            for pair in curve.windows(2) {
+                let ((l0, p0), (l1, p1)) = (pair[0], pair[1]);
+                assert!(
+                    p0.result.cycles <= p1.result.cycles,
+                    "{label} {benchmark:?}: {} cycles at L={l0} but {} at L={l1}",
+                    p0.result.cycles,
+                    p1.result.cycles
+                );
+            }
+        }
+    }
 }
 
 proptest! {

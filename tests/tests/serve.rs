@@ -112,6 +112,45 @@ fn socket_daemon_round_trips_jobs_and_shuts_down() {
     assert!(!socket.exists(), "socket cleaned up on shutdown");
 }
 
+/// One request line of 400 KB of `[` gets an `error` line back instead
+/// of overflowing the parser's stack, and the daemon keeps answering on
+/// the same connection and on new ones.
+#[test]
+fn a_deeply_nested_request_line_leaves_the_daemon_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let socket = std::env::temp_dir().join(format!("dva-serve-deep-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let service = std::sync::Arc::new(SweepService::new(ResultCache::in_memory(16)));
+    let server = {
+        let socket = socket.clone();
+        std::thread::spawn(move || dva_serve::serve_unix(service, &socket))
+    };
+    let stream = loop {
+        match std::os::unix::net::UnixStream::connect(&socket) {
+            Ok(stream) => break stream,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+    };
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut line = String::new();
+    writeln!(writer, "{}", "[".repeat(400_000)).unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"error\""), "{line}");
+    assert!(line.contains("nesting deeper than"), "{line}");
+
+    line.clear();
+    writeln!(writer, r#"{{"type":"ping"}}"#).unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"pong\""), "{line}");
+    drop((reader, writer));
+
+    let mut client = Client::connect(&socket).unwrap();
+    assert_eq!(client.ping().unwrap(), dva_serve::ENGINE_VERSION);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
 /// A machine (with its latency and memory model stamped) for key
 /// proptests.
 fn machine_strategy() -> impl Strategy<Value = Machine> {
