@@ -13,7 +13,7 @@ use crate::cli::RunOpts;
 use crate::spec::{ExperimentSpec, SweepPlan};
 use dva_engine::ENGINE_VERSION;
 use dva_metrics::Table;
-use dva_serve::{JobSummary, ResultCache, SweepService, DEFAULT_MEMORY_CAPACITY};
+use dva_serve::{JobSummary, ResultCache, ServeError, SweepService, DEFAULT_MEMORY_CAPACITY};
 use dva_sim_api::{AdaptiveReport, AdaptiveSweep, Sweep, SweepResults};
 use std::fmt;
 
@@ -39,6 +39,15 @@ pub enum RunError {
         /// The violation, with the offending grid coordinate.
         detail: String,
     },
+    /// The sweep service could not run one of the spec's sweeps: a
+    /// machine that cannot be content-addressed (a custom machine), a
+    /// grid point that deadlocked or panicked, or an interrupted job.
+    Serve {
+        /// The experiment whose sweep failed.
+        experiment: String,
+        /// The service's diagnosis.
+        error: Box<ServeError>,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -46,6 +55,9 @@ impl fmt::Display for RunError {
         match self {
             RunError::InvariantViolated { experiment, detail } => {
                 write!(f, "experiment `{experiment}`: invariant violated: {detail}")
+            }
+            RunError::Serve { experiment, error } => {
+                write!(f, "experiment `{experiment}`: {error}")
             }
         }
     }
@@ -80,47 +92,28 @@ impl Runner {
     }
 
     /// Executes one sweep through the service's content-addressed cache;
-    /// sweeps the cache cannot address (custom machines) run directly.
-    /// Either way the results are byte-identical to `sweep.run()`.
-    fn run_sweep(&mut self, sweep: &Sweep) -> SweepResults {
-        match self.service.run(sweep) {
-            Ok((
-                results,
-                JobSummary {
-                    cache_hits,
-                    simulated,
-                    ..
-                },
-            )) => {
-                self.hits += cache_hits;
-                self.simulated += simulated;
-                results
-            }
-            Err(_) => {
-                let results = sweep.run();
-                self.simulated += results.points.len();
-                results
-            }
-        }
+    /// the results are byte-identical to `sweep.run()`.
+    fn run_sweep(&mut self, sweep: &Sweep) -> Result<SweepResults, ServeError> {
+        let (results, job) = self.service.run(sweep)?;
+        self.count(job);
+        Ok(results)
     }
 
-    /// Executes one adaptive session, preferring the cache-backed path
-    /// (cache keys are shared with dense jobs); sessions the cache cannot
-    /// address run directly. Either way every sampled point is
-    /// byte-identical to the dense run's.
-    fn run_adaptive(&mut self, adaptive: &AdaptiveSweep) -> (SweepResults, AdaptiveReport) {
-        match self.service.run_adaptive(adaptive) {
-            Ok((outcome, job)) => {
-                self.hits += job.cache_hits;
-                self.simulated += job.simulated;
-                (outcome.results, outcome.report)
-            }
-            Err(_) => {
-                let outcome = adaptive.run();
-                self.simulated += outcome.report.sampled_points;
-                (outcome.results, outcome.report)
-            }
-        }
+    /// Executes one adaptive session through the cache (cache keys are
+    /// shared with dense jobs); every sampled point is byte-identical to
+    /// the dense run's.
+    fn run_adaptive(
+        &mut self,
+        adaptive: &AdaptiveSweep,
+    ) -> Result<(SweepResults, AdaptiveReport), ServeError> {
+        let (outcome, job) = self.service.run_adaptive(adaptive, |_, _| {})?;
+        self.count(job);
+        Ok((outcome.results, outcome.report))
+    }
+
+    fn count(&mut self, job: JobSummary) {
+        self.hits += job.cache_hits;
+        self.simulated += job.simulated;
     }
 
     /// Runs a spec end to end: execute its sweep plans (cache-backed),
@@ -132,17 +125,22 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::InvariantViolated`] — and no artifact — if any
-    /// declared invariant fails on any executed sweep.
+    /// Returns [`RunError::Serve`] if the service cannot run a sweep
+    /// plan, and [`RunError::InvariantViolated`] if any declared invariant
+    /// fails on any executed sweep. Either way no artifact is produced.
     pub fn run(&mut self, spec: &ExperimentSpec, opts: &RunOpts) -> Result<Artifact, RunError> {
         let plans = (spec.sweeps)(opts);
         let mut results = Vec::with_capacity(plans.len());
         let mut reports: Vec<AdaptiveReport> = Vec::new();
+        let serve_error = |error| RunError::Serve {
+            experiment: spec.name.to_string(),
+            error: Box::new(error),
+        };
         for plan in &plans {
             let measured = match plan {
-                SweepPlan::Dense(sweep) => self.run_sweep(sweep),
+                SweepPlan::Dense(sweep) => self.run_sweep(sweep).map_err(serve_error)?,
                 SweepPlan::Adaptive(adaptive) => {
-                    let (measured, report) = self.run_adaptive(adaptive);
+                    let (measured, report) = self.run_adaptive(adaptive).map_err(serve_error)?;
                     reports.push(report);
                     measured
                 }
@@ -389,9 +387,39 @@ mod tests {
             ..DEMO
         };
         let err = Runner::new().run(&BROKEN, &RunOpts::quick()).unwrap_err();
-        let RunError::InvariantViolated { experiment, detail } = &err;
+        let RunError::InvariantViolated { experiment, detail } = &err else {
+            panic!("expected an invariant violation, got {err:?}");
+        };
         assert_eq!(experiment, "demo");
         assert!(detail.contains("violated"), "{detail}");
         assert!(err.to_string().contains("invariant violated"));
+    }
+
+    /// A sweep the cache cannot address (a custom machine) fails the run
+    /// with the service's diagnosis instead of running uncached.
+    #[test]
+    fn unservable_sweeps_fail_the_run() {
+        fn custom_sweeps(opts: &RunOpts) -> Vec<SweepPlan> {
+            vec![Sweep::new()
+                .machine(Machine::custom("CUSTOM", |_| {
+                    unreachable!("an unservable sweep is never simulated")
+                }))
+                .benchmark(Benchmark::Trfd)
+                .scale(opts.scale)
+                .into()]
+        }
+        const CUSTOM: ExperimentSpec = ExperimentSpec {
+            sweeps: custom_sweeps,
+            invariants: &[],
+            ..DEMO
+        };
+        let mut runner = Runner::new();
+        let err = runner.run(&CUSTOM, &RunOpts::quick()).unwrap_err();
+        let RunError::Serve { experiment, error } = &err else {
+            panic!("expected a serve error, got {err:?}");
+        };
+        assert_eq!(experiment, "demo");
+        assert!(matches!(**error, ServeError::Spec(_)), "{error}");
+        assert_eq!(runner.simulated(), 0);
     }
 }

@@ -97,13 +97,8 @@ pub fn bank_ports_sweep(opts: &RunOpts) -> Sweep {
         .latencies([LATENCY])
 }
 
-/// Bank-port ablation: the 2-read/1-write ports per two-register bank
-/// versus a full crossbar.
-pub fn bank_ports(opts: RunOpts) -> Table {
-    render_bank_ports(&bank_ports_sweep(&opts).run())
-}
-
-/// Renders a precomputed bank-port sweep.
+/// Renders the bank-port ablation: the 2-read/1-write ports per
+/// two-register bank versus a full crossbar.
 pub fn render_bank_ports(sweep: &SweepResults) -> Table {
     let mut table = Table::new(["Program", "banked ports", "full crossbar", "port cost %"]);
     for benchmark in Benchmark::ALL {

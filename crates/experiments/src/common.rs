@@ -8,7 +8,7 @@
 //! latency) grid out over worker threads.
 
 use dva_sim_api::{Machine, Sweep, SweepResults};
-use dva_workloads::{Benchmark, Scale};
+use dva_workloads::Benchmark;
 
 pub use dva_artifact::{parse_args, parse_cli, CliArgs, OutputOpts, RunOpts};
 
@@ -40,13 +40,6 @@ impl SweepOpts for RunOpts {
     }
 }
 
-/// Parses `--quick` / `--full` from the process arguments, exiting
-/// nonzero on anything it does not understand (including `--threads`,
-/// which it accepts and applies to nothing — prefer [`parse_args`]).
-pub fn scale_from_args() -> Scale {
-    parse_args().scale
-}
-
 /// The three machines of the paper's central comparison.
 pub fn core_machines() -> [Machine; 3] {
     [Machine::reference(1), Machine::dva(1), Machine::ideal()]
@@ -61,11 +54,6 @@ pub fn latency_sweep_cfg(opts: RunOpts, latencies: &[u64]) -> Sweep {
         .machines(core_machines())
         .benchmarks(Benchmark::ALL)
         .latencies(latencies.iter().copied())
-}
-
-/// [`latency_sweep_cfg`], executed.
-pub fn latency_sweep(opts: RunOpts, latencies: &[u64]) -> SweepResults {
-    latency_sweep_cfg(opts, latencies).run()
 }
 
 /// The IDEAL bound of one benchmark in a sweep that included
@@ -88,6 +76,7 @@ pub fn kcycles(c: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dva_workloads::Scale;
 
     #[test]
     fn latency_grids_are_sorted_and_bounded() {
@@ -102,7 +91,7 @@ mod tests {
 
     #[test]
     fn sweep_collects_every_point() {
-        let sweep = latency_sweep(RunOpts::quick(), &[1, 100]);
+        let sweep = latency_sweep_cfg(RunOpts::quick(), &[1, 100]).run();
         assert_eq!(sweep.points.len(), 3 * Benchmark::ALL.len() * 2);
         for b in Benchmark::ALL {
             assert_eq!(sweep.of(b).count(), 6);

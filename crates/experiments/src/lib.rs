@@ -54,7 +54,7 @@ pub mod queues;
 pub mod registry;
 pub mod table1;
 
-pub use common::{latencies, latency_sweep, parse_args, scale_from_args, RunOpts, SweepOpts};
+pub use common::{latencies, parse_args, RunOpts, SweepOpts};
 pub use dva_artifact::{Artifact, ExperimentSpec, Invariant, RunError, Runner};
 pub use dva_sim_api::{Machine, SimResult, Sweep, SweepPoint, SweepResults};
 pub use dva_workloads::{Benchmark, Scale};

@@ -118,12 +118,8 @@ fn cycles_by_machine(sweep: &SweepResults, count: usize) -> Vec<(Benchmark, Vec<
         .collect()
 }
 
-/// Instruction-queue sizing: the paper found 16 entries within 2% of 512.
-pub fn instruction_queues(opts: RunOpts) -> Table {
-    render_instruction_queues(&sized_sweep(&opts, iq_machines()).run())
-}
-
-/// Renders a precomputed instruction-queue sweep.
+/// Renders an instruction-queue sweep: the paper found 16 entries
+/// within 2% of 512.
 pub fn render_instruction_queues(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(IQ_SIZES.iter().map(|s| format!("IQ={s}")));
@@ -140,13 +136,8 @@ pub fn render_instruction_queues(sweep: &SweepResults) -> Table {
     table
 }
 
-/// Store-queue sizing: the paper found almost no difference between 16,
-/// 32 and 256 slots for the base DVA.
-pub fn store_queue(opts: RunOpts) -> Table {
-    render_store_queue(&sized_sweep(&opts, sq_machines()).run())
-}
-
-/// Renders a precomputed store-queue sweep.
+/// Renders a store-queue sweep: the paper found almost no difference
+/// between 16, 32 and 256 slots for the base DVA.
 pub fn render_store_queue(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(SQ_SIZES.iter().map(|s| format!("SQ={s}")));
@@ -159,13 +150,8 @@ pub fn render_store_queue(sweep: &SweepResults) -> Table {
     table
 }
 
-/// Load-queue sizing with bypass enabled (Section 7's conclusion: four
-/// slots capture most of an infinite queue).
-pub fn load_queue(opts: RunOpts) -> Table {
-    render_load_queue(&sized_sweep(&opts, lq_machines()).run())
-}
-
-/// Renders a precomputed load-queue sweep.
+/// Renders a load-queue sweep with bypass enabled (Section 7's
+/// conclusion: four slots capture most of an infinite queue).
 pub fn render_load_queue(sweep: &SweepResults) -> Table {
     let mut headers = vec!["Program".to_string()];
     headers.extend(LQ_SIZES.iter().map(|s| format!("AVDQ={s}")));
@@ -231,6 +217,7 @@ mod tests {
 
     #[test]
     fn tables_have_a_row_per_program() {
-        assert_eq!(load_queue(RunOpts::quick()).len(), Benchmark::ALL.len());
+        let sweep = sized_sweep(&RunOpts::quick(), lq_machines()).run();
+        assert_eq!(render_load_queue(&sweep).len(), Benchmark::ALL.len());
     }
 }

@@ -143,24 +143,25 @@ impl RefSim {
     ///
     /// Decodes the program on the fly; when the same program runs more
     /// than once (latency sweeps, model sweeps), compile it once with
-    /// [`CompiledProgram::compile`] and use [`RefSim::run_compiled`] or a
-    /// [`RefRunner`] instead.
+    /// [`CompiledProgram::compile`] and drive it through a [`RefRunner`]
+    /// instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine detects a deadlock (an internal invariant
+    /// violation — valid traces always complete).
     pub fn run(&self, program: &Program) -> RefResult {
-        self.run_compiled(&Arc::new(CompiledProgram::compile(program)))
-    }
-
-    /// Runs a pre-decoded program to completion — byte-identical to
-    /// [`RefSim::run`] on the source program, without re-decoding it.
-    pub fn run_compiled(&self, compiled: &Arc<CompiledProgram>) -> RefResult {
-        RefRunner::new().run(self, compiled)
+        RefRunner::new()
+            .try_run(self, &Arc::new(CompiledProgram::compile(program)))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// A reusable reference-machine engine, mirroring
 /// [`DvaRunner`](https://docs.rs/dva-core) on the decoupled side: each
-/// [`run`](RefRunner::run) resets the engine and drives it to completion,
-/// byte-identical to a fresh [`RefSim::run`] (the reset contract), while
-/// reusing the engine's allocations across runs.
+/// [`try_run`](RefRunner::try_run) resets the engine and drives it to
+/// completion, byte-identical to a fresh [`RefSim::run`] (the reset
+/// contract), while reusing the engine's allocations across runs.
 ///
 /// # Examples
 ///
@@ -169,13 +170,12 @@ impl RefSim {
 /// use dva_workloads::{Benchmark, Scale};
 /// use std::sync::Arc;
 ///
-/// let compiled = Arc::new(CompiledProgram::compile(
-///     &Benchmark::Trfd.program(Scale::Quick),
-/// ));
+/// let program = Benchmark::Trfd.program(Scale::Quick);
+/// let compiled = Arc::new(CompiledProgram::compile(&program));
 /// let mut runner = RefRunner::new();
 /// for latency in [1, 30, 100] {
 ///     let sim = RefSim::new(RefParams::with_latency(latency));
-///     assert_eq!(runner.run(&sim, &compiled), sim.run_compiled(&compiled));
+///     assert_eq!(runner.try_run(&sim, &compiled), Ok(sim.run(&program)));
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -191,16 +191,10 @@ impl RefRunner {
     }
 
     /// Runs `compiled` under `sim`'s parameters, chaining policy and
-    /// stepping strategy, reusing this runner's engine allocations.
-    pub fn run(&mut self, sim: &RefSim, compiled: &Arc<CompiledProgram>) -> RefResult {
-        self.try_run(sim, compiled)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](RefRunner::run), but a detected deadlock comes back as a
-    /// [`SimError`] instead of a panic. The engine is left mid-flight on
-    /// error; the next run's reset restores it, so the runner stays
-    /// reusable.
+    /// stepping strategy, reusing this runner's engine allocations. A
+    /// detected deadlock comes back as a [`SimError`]; the engine is left
+    /// mid-flight on error, and the next run's reset restores it, so the
+    /// runner stays reusable.
     pub fn try_run(
         &mut self,
         sim: &RefSim,

@@ -1,11 +1,16 @@
 //! A typed client for the `dva-serve` protocol.
 //!
+//! One submit surface per job kind: [`Client::submit_outcomes`] and
+//! [`Client::submit_adaptive_outcomes`] stream every frame the server
+//! sends to a callback, and [`Client::submit`] /
+//! [`Client::submit_adaptive`] collect those streams into a result set.
+//!
 //! Connection-level faults are made explicit: [`Client::connect`] turns
-//! a missing or stale socket into a "daemon not running" error,
-//! [`RetryPolicy`] adds capped-exponential-backoff reconnects, and
-//! [`Client::submit_with_retry`] re-submits a dropped job wholesale —
-//! idempotent by construction, because the server's content-addressed
-//! cache answers every already-measured point without re-simulating.
+//! a missing or stale socket into a "daemon not running" error, and
+//! [`Client::submit_with_retry`] re-submits a dropped job wholesale under
+//! a capped-exponential-backoff [`RetryPolicy`] — idempotent by
+//! construction, because the server's content-addressed cache answers
+//! every already-measured point without re-simulating.
 
 use crate::exec::{AdaptiveSummary, JobSummary};
 use crate::proto::{Request, Response};
@@ -119,16 +124,6 @@ impl Client<UnixStream, UnixStream> {
         })
     }
 
-    /// [`Client::connect`] under a [`RetryPolicy`]: retries
-    /// connection-level failures (daemon still starting, socket not yet
-    /// bound) with capped exponential backoff.
-    pub fn connect_with_retry(
-        path: &Path,
-        policy: &RetryPolicy,
-    ) -> io::Result<Client<UnixStream, UnixStream>> {
-        retry(policy, || Client::connect(path))
-    }
-
     /// Submits a sweep, reconnecting and re-submitting the whole job if
     /// the connection drops mid-stream. Safe to retry: every point the
     /// interrupted attempt measured is already in the server's cache, so
@@ -230,40 +225,24 @@ impl<R: io::Read, W: Write> Client<R, W> {
         }
     }
 
-    /// Submits a sweep and calls `on_point` for every grid point as it
-    /// streams in (in deterministic grid order), returning the job
-    /// summary once the server reports completion. The all-or-nothing
-    /// surface: a `point_error` frame fails the whole call (use
-    /// [`submit_outcomes`](Client::submit_outcomes) to keep the healthy
-    /// points).
-    pub fn submit_streaming(
-        &mut self,
-        sweep: &Sweep,
-        mut on_point: impl FnMut(usize, SweepPoint),
-    ) -> io::Result<JobSummary> {
-        self.submit_outcomes(sweep, None, |index, outcome| {
-            if let Ok(point) = outcome {
-                on_point(index, point)
-            }
-        })
-        .and_then(|summary| {
-            if summary.errors > 0 {
-                Err(bad_data(format!(
-                    "{} of {} grid points failed",
-                    summary.errors, summary.total
-                )))
-            } else {
-                Ok(summary)
-            }
-        })
-    }
-
     /// Submits a sweep and collects the streamed points, returning the
     /// full result set — byte-identical to a local `sweep.run()` — and
-    /// the job summary.
+    /// the job summary. All or nothing: a `point_error` frame fails the
+    /// whole call (use [`submit_outcomes`](Client::submit_outcomes) to
+    /// keep the healthy points).
     pub fn submit(&mut self, sweep: &Sweep) -> io::Result<(SweepResults, JobSummary)> {
         let mut points = Vec::new();
-        let summary = self.submit_streaming(sweep, |_, point| points.push(point))?;
+        let summary = self.submit_outcomes(sweep, None, |_, outcome| {
+            if let Ok(point) = outcome {
+                points.push(point);
+            }
+        })?;
+        if summary.errors > 0 {
+            return Err(bad_data(format!(
+                "{} of {} grid points failed",
+                summary.errors, summary.total
+            )));
+        }
         Ok((SweepResults { points }, summary))
     }
 
@@ -293,16 +272,6 @@ impl<R: io::Read, W: Write> Client<R, W> {
         }
     }
 
-    /// [`submit_adaptive_outcomes`](Client::submit_adaptive_outcomes)
-    /// without a deadline.
-    pub fn submit_adaptive_streaming(
-        &mut self,
-        adaptive: &AdaptiveSweep,
-        on_point: impl FnMut(usize, SweepPoint),
-    ) -> io::Result<AdaptiveSummary> {
-        self.submit_adaptive_outcomes(adaptive, None, on_point)
-    }
-
     /// Submits an adaptive sweep and collects the sampled points into a
     /// (sparse) result set in dense grid order — every point
     /// byte-identical to the same point of a dense run — plus the
@@ -312,8 +281,9 @@ impl<R: io::Read, W: Write> Client<R, W> {
         adaptive: &AdaptiveSweep,
     ) -> io::Result<(SweepResults, AdaptiveSummary)> {
         let mut indexed: Vec<(usize, SweepPoint)> = Vec::new();
-        let summary =
-            self.submit_adaptive_streaming(adaptive, |index, point| indexed.push((index, point)))?;
+        let summary = self.submit_adaptive_outcomes(adaptive, None, |index, point| {
+            indexed.push((index, point));
+        })?;
         indexed.sort_by_key(|&(index, _)| index);
         let points = indexed.into_iter().map(|(_, point)| point).collect();
         Ok((SweepResults { points }, summary))

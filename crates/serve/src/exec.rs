@@ -162,7 +162,7 @@ impl SweepService {
     /// [`ServeError::Cancelled`] / [`ServeError::DeadlineExceeded`].
     /// Points measured before the interruption stay cached, so a
     /// resubmitted job resumes nearly for free.
-    pub fn run_adaptive_with(
+    pub fn run_adaptive(
         &self,
         adaptive: &AdaptiveSweep,
         mut on_point: impl FnMut(usize, &SweepPoint),
@@ -204,15 +204,6 @@ impl SweepService {
             }
         }
         Ok((planner.finish(), summary))
-    }
-
-    /// [`run_adaptive_with`](SweepService::run_adaptive_with) without a
-    /// per-point callback.
-    pub fn run_adaptive(
-        &self,
-        adaptive: &AdaptiveSweep,
-    ) -> Result<(AdaptiveOutcome, JobSummary), ServeError> {
-        self.run_adaptive_with(adaptive, |_, _| {})
     }
 
     /// Results resident in the cache's memory tier.
@@ -292,16 +283,15 @@ fn interruption_of(cancel: &CancelToken) -> ServeError {
     }
 }
 
-/// A running job: an iterator over its points in grid order, merging
-/// cached hits with freshly simulated misses as they stream in. Created
-/// by [`SweepService::submit`].
+/// A running job: its points in grid order, merging cached hits with
+/// freshly simulated misses as they stream in. Created by
+/// [`SweepService::submit`].
 ///
-/// The plain [`Iterator`] keeps the all-or-nothing contract (an
-/// isolated point fault re-raises as a panic); fault-tolerant consumers
-/// — the daemon — poll [`next_outcome`](ServeRun::next_outcome) and
-/// receive each fault as a typed [`PointError`] alongside the healthy
-/// points. A cancelled token or expired deadline on the submitted sweep
-/// truncates the run (see [`interrupted`](ServeRun::interrupted)).
+/// Consumers poll [`next_outcome`](ServeRun::next_outcome) and receive
+/// each isolated point fault as a typed [`PointError`] alongside the
+/// healthy points. A cancelled token or expired deadline on the
+/// submitted sweep truncates the run (see
+/// [`interrupted`](ServeRun::interrupted)).
 pub struct ServeRun {
     cache: Arc<Mutex<ResultCache>>,
     /// Cached points, ascending grid index.
@@ -345,16 +335,17 @@ impl ServeRun {
         if self.cancel.is_cancelled() {
             return None;
         }
-        let take_hit = match (self.hits.front(), self.stream.size_hint().0) {
-            (Some(_), 0) => true,
-            (Some((hit_index, _)), _) => {
+        let take_hit = match self.hits.front() {
+            // Every miss has streamed (one key is left per pending miss).
+            Some(_) if self.miss_keys.is_empty() => true,
+            Some((hit_index, _)) => {
                 // The next streamed point has the smallest unseen miss
                 // index; compare against position instead of peeking by
                 // noting indices are yielded in ascending interleaved
                 // order: the next overall index is `yielded`.
                 *hit_index == self.yielded
             }
-            (None, _) => false,
+            None => false,
         };
         let outcome = if take_hit {
             Some(Ok(self.hits.pop_front().expect("checked").1))
@@ -384,22 +375,6 @@ impl ServeRun {
     }
 }
 
-impl Iterator for ServeRun {
-    type Item = SweepPoint;
-
-    fn next(&mut self) -> Option<SweepPoint> {
-        self.next_outcome()
-            .map(|outcome| outcome.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.summary.total - self.yielded;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for ServeRun {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,6 +393,15 @@ mod tests {
 
     fn sweep() -> Sweep {
         sweep_at(vec![1, 30])
+    }
+
+    /// Drains a run whose points all succeed.
+    fn drain(mut run: ServeRun) -> Vec<SweepPoint> {
+        let mut points = Vec::new();
+        while let Some(outcome) = run.next_outcome() {
+            points.push(outcome.unwrap());
+        }
+        points
     }
 
     #[test]
@@ -475,7 +459,7 @@ mod tests {
         };
         let run = service.submit_specs(&job, subset).unwrap();
         assert!(run.summary().cache_hits > 0 && run.summary().simulated > 0);
-        let streamed: Vec<SweepPoint> = run.collect();
+        let streamed = drain(run);
         assert_eq!(
             streamed, expected,
             "subset points stream in submission order"
@@ -501,7 +485,7 @@ mod tests {
 
         // Adaptive first: a later dense job hits on every sampled point.
         let service = SweepService::new(ResultCache::in_memory(4096));
-        let (outcome, job) = service.run_adaptive(&adaptive).unwrap();
+        let (outcome, job) = service.run_adaptive(&adaptive, |_, _| {}).unwrap();
         assert_eq!(job.total, outcome.report.sampled_points);
         assert_eq!(job.cache_hits, 0, "cold adaptive run hits nothing");
         let (results, cost) = service.run(&dense).unwrap();
@@ -516,7 +500,7 @@ mod tests {
         service.run(&dense).unwrap();
         let mut streamed = Vec::new();
         let (warm, job) = service
-            .run_adaptive_with(&adaptive, |index, point| {
+            .run_adaptive(&adaptive, |index, point| {
                 streamed.push((index, point.clone()));
             })
             .unwrap();
@@ -535,7 +519,7 @@ mod tests {
     fn adaptive_summary_folds_report_and_cost() {
         let service = SweepService::new(ResultCache::in_memory(4096));
         let adaptive = adaptive();
-        let (outcome, job) = service.run_adaptive(&adaptive).unwrap();
+        let (outcome, job) = service.run_adaptive(&adaptive, |_, _| {}).unwrap();
         let summary = AdaptiveSummary::of(&outcome.report, job);
         assert_eq!(summary.dense, adaptive.dense_len());
         assert_eq!(summary.sampled, summary.cache_hits + summary.simulated);
@@ -564,7 +548,7 @@ mod tests {
         // latency 30 — IDEAL keys carry no latency.
         assert_eq!(summary.cache_hits, 8);
         assert_eq!(summary.simulated, 4);
-        let streamed: Vec<SweepPoint> = run.collect();
+        let streamed = drain(run);
         assert_eq!(streamed, job.threads(1).run().points);
     }
 }

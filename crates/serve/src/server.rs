@@ -12,12 +12,19 @@ use crate::proto::{Request, Response};
 use dva_engine::ENGINE_VERSION;
 use dva_sim_api::CancelToken;
 use dva_testutil::failpoint;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The longest request line the server reads, in bytes (newline
+/// excluded). Real requests are a few kilobytes; a client that sends more
+/// gets one `error` line and its connection is closed, so a newline-free
+/// stream cannot grow the daemon's memory without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Transport knobs for the Unix-socket server.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,11 +65,13 @@ fn is_disconnect(e: &io::Error) -> bool {
 /// whole server to shut down.
 ///
 /// An idle timeout or reset on the read side closes the connection
-/// quietly (`Ok(false)`); write failures — the client hung up mid-stream
-/// — cancel the in-flight job and surface as the error.
+/// quietly (`Ok(false)`), as does a request line longer than
+/// [`MAX_REQUEST_LINE`] (after one `error` line); write failures — the
+/// client hung up mid-stream — cancel the in-flight job and surface as
+/// the error.
 pub fn serve_connection(
     service: &SweepService,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> io::Result<bool> {
     let respond = |writer: &mut dyn Write, response: &Response| -> io::Result<()> {
@@ -73,16 +82,27 @@ pub fn serve_connection(
         writeln!(writer, "{line}")?;
         writer.flush()
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) => return Ok(false),
+            Ok(_) => {}
             Err(e) if is_disconnect(&e) => return Ok(false),
             Err(e) => return Err(e),
-        };
+        }
+        if buf.pop_if(|&mut byte| byte == b'\n').is_none() && buf.len() > MAX_REQUEST_LINE {
+            let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            respond(&mut writer, &Response::Error { message })?;
+            return Ok(false);
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let request = match Request::parse(&line) {
+        let request = match Request::parse(line) {
             Ok(request) => request,
             Err(e) => {
                 respond(
@@ -153,7 +173,7 @@ pub fn serve_connection(
                 // a write failure is carried out through this slot and
                 // cancels the session so no further round is simulated.
                 let mut write_error: Option<io::Error> = None;
-                let outcome = service.run_adaptive_with(&adaptive, |index, point| {
+                let outcome = service.run_adaptive(&adaptive, |index, point| {
                     if write_error.is_none() {
                         if let Err(e) = respond(
                             &mut writer,
@@ -185,7 +205,6 @@ pub fn serve_connection(
             }
         }
     }
-    Ok(false)
 }
 
 /// Serves the protocol over stdin/stdout until EOF or a shutdown
@@ -204,8 +223,9 @@ pub fn serve_unix(service: Arc<SweepService>, path: &Path) -> io::Result<()> {
 
 /// Binds `path` and serves connections until a client sends a shutdown
 /// request. Each connection is handled on its own thread; they share the
-/// service (and therefore the result cache). A pre-existing socket file
-/// at `path` is replaced.
+/// service (and therefore the result cache). A stale socket at `path` is
+/// replaced; any other file there is left alone and the call fails with
+/// [`io::ErrorKind::AlreadyExists`].
 ///
 /// The accept loop is deliberately hard to kill: a failed `accept` (or a
 /// socket that cannot take its timeouts) is logged and skipped, a
@@ -217,7 +237,13 @@ pub fn serve_unix_with(
     path: &Path,
     options: ServeOptions,
 ) -> io::Result<()> {
-    if path.exists() {
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        if !meta.file_type().is_socket() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!("{} exists and is not a socket", path.display()),
+            ));
+        }
         std::fs::remove_file(path)?;
     }
     let listener = UnixListener::bind(path)?;
@@ -262,4 +288,21 @@ pub fn serve_unix_with(
     }
     let _ = std::fs::remove_file(path);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::ResultCache;
+
+    #[test]
+    fn a_regular_file_at_the_socket_path_is_not_deleted() {
+        let path = std::env::temp_dir().join(format!("dva-serve-file-{}", std::process::id()));
+        std::fs::write(&path, "results\n").unwrap();
+        let service = Arc::new(SweepService::new(ResultCache::in_memory(16)));
+        let err = serve_unix(service, &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "results\n");
+        std::fs::remove_file(&path).unwrap();
+    }
 }

@@ -193,6 +193,11 @@ impl AdaptiveSweep {
     /// programs come for free), and the measured points
     /// feed the next round, until every curve has converged or been
     /// pruned.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PointError`](crate::PointError) message if any
+    /// sampled point deadlocks or panics.
     pub fn run(&self) -> AdaptiveOutcome {
         let sweep = self.dense();
         let mut planner = self.planner();
@@ -201,8 +206,9 @@ impl AdaptiveSweep {
             if specs.is_empty() {
                 break;
             }
-            for (index, point) in sweep.run_subset_streaming(specs) {
-                planner.record(index, point);
+            let mut stream = sweep.run_subset_streaming(specs);
+            while let Some((index, outcome)) = stream.next_outcome() {
+                planner.record(index, outcome.unwrap_or_else(|e| panic!("{e}")));
             }
         }
         planner.finish()
@@ -689,7 +695,9 @@ mod tests {
             if specs.is_empty() {
                 break;
             }
-            for (index, point) in sweep.run_subset_streaming(specs) {
+            let mut stream = sweep.run_subset_streaming(specs);
+            while let Some((index, outcome)) = stream.next_outcome() {
+                let point = outcome.unwrap();
                 assert_eq!(
                     point, dense.points[index],
                     "adaptive point differs at {index}"

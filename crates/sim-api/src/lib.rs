@@ -67,7 +67,7 @@ pub use fault::{PointError, PointErrorKind};
 pub use machine::{CustomMachine, CustomSim, Machine};
 pub use prepare::{PreparedProgram, Runners};
 pub use result::{MachineDetail, SimResult};
-pub use stream::{IndexedSweepStream, PointSpec, SweepStream};
+pub use stream::{IndexedSweepStream, PointSpec};
 pub use sweep::{Sweep, SweepPoint, SweepResults};
 
 // Re-exported so custom machines can be written against this crate

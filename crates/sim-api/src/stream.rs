@@ -218,9 +218,16 @@ impl Ord for Sequenced {
     }
 }
 
-/// The engine behind both public stream types: workers, the result
-/// channel, and the reorder buffer that restores sequence order.
-struct RawStream {
+/// A running subset sweep yielding `(grid_index, outcome)` pairs in the
+/// order the specs were submitted. Created by
+/// [`Sweep::run_subset_streaming`](crate::Sweep::run_subset_streaming).
+///
+/// Behind it sit the workers, the result channel, and the reorder buffer
+/// that restores submission order. [`next_outcome`](Self::next_outcome)
+/// is the one way to drain it: each failed point arrives as a typed
+/// [`PointError`] alongside the healthy points. Dropping the stream early
+/// cancels the remaining work: workers finish the point in hand and exit.
+pub struct IndexedSweepStream {
     /// `None` once the stream has finished or been dropped.
     rx: Option<Receiver<Sequenced>>,
     /// Completed points that arrived ahead of their turn (min-heap).
@@ -233,12 +240,15 @@ struct RawStream {
     cancelled: bool,
 }
 
-fn spawn(
+/// Starts `workers` threads over `entries`. The reorder buffer sequences
+/// by position in `entries`, while each yielded pair keeps the spec's own
+/// grid index for the caller's bookkeeping.
+pub(crate) fn stream_indexed(
     entries: Vec<Entry>,
     workers: usize,
     fast_forward: bool,
     cancel: CancelToken,
-) -> RawStream {
+) -> IndexedSweepStream {
     let total = entries.len();
     let workers = workers.clamp(1, total.max(1));
 
@@ -285,7 +295,7 @@ fn spawn(
             })
         })
         .collect();
-    RawStream {
+    IndexedSweepStream {
         rx: Some(rx),
         pending: BinaryHeap::new(),
         next_pos: 0,
@@ -296,8 +306,12 @@ fn spawn(
     }
 }
 
-impl RawStream {
-    fn next_in_order(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
+impl IndexedSweepStream {
+    /// The next `(grid_index, outcome)` pair in submission order: a
+    /// measured point, or the typed [`PointError`] that poisoned it.
+    /// `None` once the subset is exhausted — or once a cancelled token
+    /// truncated the stream (see [`cancelled`](Self::cancelled)).
+    pub fn next_outcome(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
         if self.next_pos >= self.total {
             self.finish();
             return None;
@@ -341,12 +355,10 @@ impl RawStream {
         }
     }
 
-    fn cancelled(&self) -> bool {
+    /// Whether this stream's sweep was cancelled (explicitly or by
+    /// deadline); a cancelled stream ends early.
+    pub fn cancelled(&self) -> bool {
         self.cancelled || self.cancel.is_cancelled()
-    }
-
-    fn remaining(&self) -> usize {
-        self.total - self.next_pos
     }
 
     fn finish(&mut self) {
@@ -359,7 +371,7 @@ impl RawStream {
     }
 }
 
-impl Drop for RawStream {
+impl Drop for IndexedSweepStream {
     fn drop(&mut self) {
         // Closing the channel makes every pending send fail, so workers
         // abandon the rest of the grid; join them without re-raising (a
@@ -368,106 +380,6 @@ impl Drop for RawStream {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// A running sweep yielding points in deterministic grid order as they
-/// complete. Created by [`Sweep::run_streaming`](crate::Sweep::run_streaming).
-///
-/// A failed point — an isolated panic or deadlock — re-raises here as a
-/// panic carrying the [`PointError`] message, keeping this iterator's
-/// all-or-nothing contract; consumers that must survive poisoned points
-/// use [`IndexedSweepStream::next_outcome`] instead. A cancelled sweep
-/// (see [`Sweep::cancel_handle`](crate::Sweep::cancel_handle)) truncates:
-/// the iterator ends early at the last in-order point, which is the one
-/// deliberate exception to the [`ExactSizeIterator`] length promise.
-pub struct SweepStream {
-    inner: RawStream,
-}
-
-impl Iterator for SweepStream {
-    type Item = SweepPoint;
-
-    fn next(&mut self) -> Option<SweepPoint> {
-        self.inner
-            .next_in_order()
-            .map(|(_, outcome)| outcome.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.inner.remaining(), Some(self.inner.remaining()))
-    }
-}
-
-impl ExactSizeIterator for SweepStream {}
-
-/// A running subset sweep yielding `(grid_index, point)` pairs in the
-/// order the specs were submitted. Created by
-/// [`Sweep::run_subset_streaming`](crate::Sweep::run_subset_streaming).
-///
-/// [`Iterator::next`] re-raises a failed point as a panic, like
-/// [`SweepStream`]; fault-tolerant consumers poll
-/// [`next_outcome`](IndexedSweepStream::next_outcome) instead and
-/// receive each failure as a typed [`PointError`] alongside the healthy
-/// points.
-pub struct IndexedSweepStream {
-    inner: RawStream,
-}
-
-impl IndexedSweepStream {
-    /// The next `(grid_index, outcome)` pair in submission order: a
-    /// measured point, or the typed [`PointError`] that poisoned it.
-    /// `None` once the subset is exhausted — or once a cancelled token
-    /// truncated the stream (see
-    /// [`cancelled`](IndexedSweepStream::cancelled)).
-    pub fn next_outcome(&mut self) -> Option<(usize, Result<SweepPoint, PointError>)> {
-        self.inner.next_in_order()
-    }
-
-    /// Whether this stream's sweep was cancelled (explicitly or by
-    /// deadline); a cancelled stream ends early.
-    pub fn cancelled(&self) -> bool {
-        self.inner.cancelled()
-    }
-}
-
-impl Iterator for IndexedSweepStream {
-    type Item = (usize, SweepPoint);
-
-    fn next(&mut self) -> Option<(usize, SweepPoint)> {
-        self.next_outcome()
-            .map(|(index, outcome)| (index, outcome.unwrap_or_else(|e| panic!("{e}"))))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.inner.remaining(), Some(self.inner.remaining()))
-    }
-}
-
-impl ExactSizeIterator for IndexedSweepStream {}
-
-pub(crate) fn stream_all(
-    entries: Vec<Entry>,
-    workers: usize,
-    fast_forward: bool,
-    cancel: CancelToken,
-) -> SweepStream {
-    SweepStream {
-        inner: spawn(entries, workers, fast_forward, cancel),
-    }
-}
-
-pub(crate) fn stream_indexed(
-    entries: Vec<Entry>,
-    workers: usize,
-    fast_forward: bool,
-    cancel: CancelToken,
-) -> IndexedSweepStream {
-    // Reindex to submission order: the reorder buffer sequences by
-    // position in `entries`, while each yielded pair keeps the spec's own
-    // grid index for the caller's bookkeeping.
-    IndexedSweepStream {
-        inner: spawn(entries, workers, fast_forward, cancel),
     }
 }
 
@@ -486,11 +398,24 @@ mod tests {
             .threads(threads)
     }
 
+    /// Drains a stream whose points all succeed.
+    fn drain(mut stream: IndexedSweepStream) -> Vec<(usize, SweepPoint)> {
+        let mut points = Vec::new();
+        while let Some((index, outcome)) = stream.next_outcome() {
+            points.push((index, outcome.unwrap()));
+        }
+        points
+    }
+
     #[test]
     fn streaming_matches_run_for_every_thread_count() {
         let reference = sweep(1).run();
         for threads in [1, 2, 3, 8] {
-            let streamed: Vec<_> = sweep(threads).run_streaming().collect();
+            let session = sweep(threads);
+            let streamed: Vec<_> = drain(session.run_subset_streaming(session.grid()))
+                .into_iter()
+                .map(|(_, point)| point)
+                .collect();
             assert_eq!(
                 streamed, reference.points,
                 "streamed points must be byte-identical at {threads} threads"
@@ -530,7 +455,7 @@ mod tests {
         let mut subset: Vec<PointSpec> = session.grid().into_iter().step_by(3).collect();
         subset.reverse();
         let expected: Vec<usize> = subset.iter().map(|s| s.index).collect();
-        let streamed: Vec<(usize, SweepPoint)> = session.run_subset_streaming(subset).collect();
+        let streamed = drain(session.run_subset_streaming(subset));
         let order: Vec<usize> = streamed.iter().map(|(i, _)| *i).collect();
         assert_eq!(order, expected, "pairs arrive in submission order");
         for (index, point) in streamed {
@@ -540,32 +465,35 @@ mod tests {
 
     #[test]
     fn dropping_a_stream_cancels_the_remaining_work() {
-        let mut stream = sweep(2).run_streaming();
-        let first = stream.next().unwrap();
-        assert_eq!(first.label, "REF");
+        let session = sweep(2);
+        let mut stream = session.run_subset_streaming(session.grid());
+        let (_, first) = stream.next_outcome().unwrap();
+        assert_eq!(first.unwrap().label, "REF");
         drop(stream); // must not hang or leak workers
     }
 
     #[test]
     fn empty_sessions_stream_nothing() {
-        let mut stream = Sweep::new().run_streaming();
-        assert_eq!(stream.size_hint(), (0, Some(0)));
-        assert!(stream.next().is_none());
+        let session = Sweep::new();
+        let mut stream = session.run_subset_streaming(session.grid());
+        assert!(stream.next_outcome().is_none());
+        assert!(!stream.cancelled());
     }
 
+    /// A panicking point reaches the blocking [`Sweep::run`] consumer as
+    /// a panic carrying the point's message, from any worker.
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate_to_the_consumer() {
         fn explode(_: &Program) -> crate::CustomSim<'_> {
             panic!("boom")
         }
-        let results: Vec<_> = Sweep::new()
+        let results = Sweep::new()
             .machine(Machine::custom("BOOM", explode))
-            .benchmark(Benchmark::Trfd)
+            .benchmarks([Benchmark::Trfd, Benchmark::Dyfesm])
             .scale(Scale::Quick)
             .threads(2)
-            .run_streaming()
-            .collect();
+            .run();
         drop(results);
     }
 

@@ -3,7 +3,7 @@
 
 use crate::cancel::CancelToken;
 use crate::prepare::Runners;
-use crate::stream::{self, IndexedSweepStream, PointSpec, SweepStream};
+use crate::stream::{self, IndexedSweepStream, PointSpec};
 use crate::{Machine, SimResult};
 use dva_isa::Program;
 use dva_memory::MemoryModelKind;
@@ -338,60 +338,41 @@ impl Sweep {
     /// (compiled lazily, by whichever worker gets there first), and each
     /// worker thread reuses one set of engine allocations ([`Runners`])
     /// across all the points it claims. Results are byte-identical to
-    /// simulating every point from scratch — and to collecting
-    /// [`run_streaming`](Sweep::run_streaming), which this delegates to
-    /// when more than one worker is in play.
+    /// simulating every point from scratch — and to draining
+    /// [`run_subset_streaming`](Sweep::run_subset_streaming) over the
+    /// whole grid, which this does when more than one worker is in play.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`PointError`](crate::PointError) message if any
+    /// point deadlocks or panics; fault-tolerant callers drain
+    /// [`run_subset_streaming`](Sweep::run_subset_streaming) instead.
     pub fn run(&self) -> SweepResults {
         let specs = self.grid();
-        let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        if workers <= 1 {
+        let mut points = Vec::with_capacity(specs.len());
+        if self.effective_threads() <= 1 || specs.len() <= 1 {
             // Inline sequential path: no threads, no channel — the
             // reference implementation the parallel paths are tested
             // against.
             let mut runners = Runners::new();
-            let points = stream::prepare(specs)
-                .iter()
-                .map(|entry| {
-                    // The blocking path keeps its all-or-nothing
-                    // contract: an isolated point fault re-raises.
-                    entry
-                        .try_measure(self.fast_forward, &mut runners)
-                        .unwrap_or_else(|e| panic!("{e}"))
-                })
-                .collect();
-            return SweepResults { points };
+            for entry in stream::prepare(specs) {
+                let outcome = entry.try_measure(self.fast_forward, &mut runners);
+                points.push(outcome.unwrap_or_else(|e| panic!("{e}")));
+            }
+        } else {
+            let mut stream = self.run_subset_streaming(specs);
+            while let Some((_, outcome)) = stream.next_outcome() {
+                points.push(outcome.unwrap_or_else(|e| panic!("{e}")));
+            }
         }
-        SweepResults {
-            points: self.run_streaming().collect(),
-        }
-    }
-
-    /// Runs the session like [`run`](Sweep::run), but yields each
-    /// [`SweepPoint`] as soon as it (and every point before it) has been
-    /// measured, instead of waiting for the whole grid.
-    ///
-    /// Points arrive in exactly the order [`run`](Sweep::run) returns
-    /// them — deterministic grid order, independent of the thread count —
-    /// so `sweep.run_streaming().collect()` equals `sweep.run().points`
-    /// byte for byte. Workers execute points out of order (work stealing);
-    /// the stream holds completed points back until their turn.
-    ///
-    /// Dropping the stream early cancels the remaining work: workers
-    /// finish the point in hand and exit.
-    pub fn run_streaming(&self) -> SweepStream {
-        let specs = self.grid();
-        let workers = self.effective_threads().clamp(1, specs.len().max(1));
-        stream::stream_all(
-            stream::prepare(specs),
-            workers,
-            self.fast_forward,
-            self.cancel.clone(),
-        )
+        SweepResults { points }
     }
 
     /// Runs an arbitrary subset of this session's [`grid`](Sweep::grid),
-    /// yielding `(grid_index, point)` pairs in the order the specs were
-    /// given (independent of the thread count).
+    /// yielding `(grid_index, outcome)` pairs in the order the specs were
+    /// given (independent of the thread count). Each outcome is the
+    /// measured point or the typed [`PointError`](crate::PointError) of
+    /// a point that deadlocked or panicked.
     ///
     /// This is the entry point for external schedulers that know some
     /// points already — the `dva-serve` result cache hands the misses

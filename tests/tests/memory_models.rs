@@ -181,11 +181,17 @@ fn cache_stats_split_loads_and_stores() {
     );
 }
 
-/// REF and DVA over the quick grid at eleven latencies, under one
-/// memory model — the grid the reduction oracles below compare.
+/// REF, DVA and two BYP configurations over the quick grid at eleven
+/// latencies, under one memory model — the grid the reduction oracles
+/// below compare.
 fn oracle_grid(memory: MemoryModelKind) -> SweepResults {
     Sweep::new()
-        .machines([Machine::reference(1), Machine::dva(1)])
+        .machines([
+            Machine::reference(1),
+            Machine::dva(1),
+            Machine::byp(1, 4, 8),
+            Machine::byp(1, 256, 16),
+        ])
         .benchmarks(Benchmark::ALL)
         .latencies((0..=10).map(|i| (i * 10).max(1)))
         .memory_model(memory)
@@ -222,9 +228,9 @@ fn degenerate_backends_reduce_to_flat() {
 #[test]
 fn cycles_are_non_decreasing_in_latency() {
     let flat = oracle_grid(MemoryModelKind::Flat);
-    for label in ["REF", "DVA"] {
+    for label in flat.labels() {
         for benchmark in Benchmark::ALL {
-            let curve = flat.curve(label, benchmark, MemoryModelKind::Flat);
+            let curve = flat.curve(&label, benchmark, MemoryModelKind::Flat);
             assert_eq!(curve.len(), 11);
             for pair in curve.windows(2) {
                 let ((l0, p0), (l1, p1)) = (pair[0], pair[1]);

@@ -36,7 +36,12 @@ fn daemon_results_are_byte_identical_to_a_fresh_sequential_run() {
     assert_eq!(fresh.points.len(), 216);
 
     // Work-stolen and streamed, in-process.
-    let streamed: Vec<_> = full_grid().threads(4).run_streaming().collect();
+    let session = full_grid().threads(4);
+    let mut stream = session.run_subset_streaming(session.grid());
+    let mut streamed = Vec::new();
+    while let Some((_, outcome)) = stream.next_outcome() {
+        streamed.push(outcome.unwrap());
+    }
     assert_eq!(streamed, fresh.points);
 
     // Through the service (cold cache), then through it again (warm).
@@ -88,8 +93,8 @@ fn socket_daemon_round_trips_jobs_and_shuts_down() {
     let mut second_client = Client::connect(&socket).unwrap();
     let mut indices = Vec::new();
     let cost = second_client
-        .submit_streaming(&sweep, |index, point| {
-            assert_eq!(point, fresh.points[index]);
+        .submit_outcomes(&sweep, None, |index, outcome| {
+            assert_eq!(outcome.unwrap(), fresh.points[index]);
             indices.push(index);
         })
         .unwrap();
@@ -143,6 +148,46 @@ fn a_deeply_nested_request_line_leaves_the_daemon_serving() {
     writeln!(writer, r#"{{"type":"ping"}}"#).unwrap();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"type\":\"pong\""), "{line}");
+    drop((reader, writer));
+
+    let mut client = Client::connect(&socket).unwrap();
+    assert_eq!(client.ping().unwrap(), dva_serve::ENGINE_VERSION);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// A client streaming 4 MiB with no newline gets one `error` line and
+/// its connection closed, instead of growing the daemon's memory without
+/// limit; a new connection is still served.
+#[test]
+fn a_newline_free_flood_leaves_the_daemon_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let socket = std::env::temp_dir().join(format!("dva-serve-flood-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&socket);
+    let service = std::sync::Arc::new(SweepService::new(ResultCache::in_memory(16)));
+    let server = {
+        let socket = socket.clone();
+        std::thread::spawn(move || dva_serve::serve_unix(service, &socket))
+    };
+    let stream = loop {
+        match std::os::unix::net::UnixStream::connect(&socket) {
+            Ok(stream) => break stream,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+    };
+    // A daemon without the cap would wait for the newline forever.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    // The daemon stops reading after its cap and hangs up, so the tail
+    // of the flood may fail to send; only the reply matters.
+    let _ = writer.write_all(&vec![b'x'; 4 << 20]);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"error\""), "{line}");
+    assert!(line.contains("request line longer than"), "{line}");
     drop((reader, writer));
 
     let mut client = Client::connect(&socket).unwrap();
